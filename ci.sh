@@ -5,28 +5,25 @@
 # locally, the workflow's check jobs pass too.
 #
 #   ./ci.sh            # everything (fmt, clippy, build, test, asm,
-#                      # smoke, dse, load)
+#                      # bench, dse, load)
 #   ./ci.sh fmt        # rustfmt, check only
 #   ./ci.sh clippy     # clippy, warnings are errors
 #   ./ci.sh build      # release build, all targets
 #   ./ci.sh test       # full test suite
-#   ./ci.sh smoke      # serve + fleet loopback end-to-end, the
-#                      # fused-engine identity/throughput bench, and the
-#                      # 2-thread sweep-scaling smoke (SSIM_QUICK)
 #   ./ci.sh asm        # assembler front-end: corpus assembles through
 #                      # the real CLI, native workloads re-emit to
 #                      # identical streams, parser fuzz smoke
+#   ./ci.sh bench      # the repository benchmark (perfbench/README.md):
+#                      # one 10 s run per workload, every output checked
 #   ./ci.sh dse        # surrogate-guided planner vs exhaustive truth
-#                      # on the real §4.6 space (SSIM_QUICK)
+#                      # on the quick §4.6 space, plus the synthetic
+#                      # budget and calibration gates (release)
 #   ./ci.sh load       # loadgen chaos gate: open-loop load through a
 #                      # gateway over fault-injecting backends, zero
 #                      # lost/duplicated acks (SSIM_QUICK)
-#   ./ci.sh deep       # deep bench tier (not part of `all`; manual or
-#                      # nightly): full §4.6 thread-scaling curve with
-#                      # parallel-efficiency gates, 8-backend fleet
-#                      # scaling, the journal kill-and-resume chaos
-#                      # test, the 10k-connection load story, and a
-#                      # perf_report fold of all of it
+#   ./ci.sh deep       # deep tier (not part of `all`; manual or
+#                      # nightly): the journal kill-and-resume chaos
+#                      # test and the 10k-connection load story
 set -euo pipefail
 
 stage() { echo "[ci $(date +%H:%M:%S)] $*"; }
@@ -51,26 +48,6 @@ do_test() {
   cargo test -q
 }
 
-do_smoke() {
-  # Loopback end-to-end: single server bit-exact vs direct library
-  # calls, then the 3-backend fleet under seeded fault injection.
-  stage "ssim-serve smoke"
-  SSIM_QUICK=1 cargo run --release -q -p ssim-serve -- smoke
-  stage "ssim-serve fleet smoke"
-  SSIM_QUICK=1 cargo run --release -q -p ssim-serve -- fleet smoke
-  # Fused generate-and-simulate engine: asserts bit-identical SimResults
-  # across reference / unfused / fused in-measurement, so a divergence
-  # fails CI loudly rather than skewing a recorded speedup.
-  stage "sim_speed (fused engine identity)"
-  SSIM_QUICK=1 cargo run --release -q -p ssim-bench --bin sim_speed
-  # Thread-scaling smoke over the quick §4.6 grid at 2 threads:
-  # asserts byte-identity across thread counts and (on multi-core
-  # hosts) gates speedup(2) >= SSIM_MIN_SPEEDUP2; single-core hosts
-  # record the curve without enforcing.
-  stage "scaling (2-thread sweep smoke)"
-  SSIM_QUICK=1 SSIM_THREADS=2 cargo run --release -q -p ssim-bench --bin scaling
-}
-
 do_asm() {
   # Assembler front-end gate. Three layers: every shipped corpus
   # program assembles (and bounded-runs) through the real CLI; the
@@ -87,14 +64,25 @@ do_asm() {
   cargo test --release -q -p ssim-asm --test fuzz
 }
 
+do_bench() {
+  # The repository benchmark: each run checks its own outputs (round
+  # digests, EDS accuracy, Pareto gap, lost or duplicated replies) and
+  # exits non-zero on a failed check.
+  for workload in paper-repro dse-sweep served-mix; do
+    stage "perfbench $workload (10 s)"
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+      --workload "$workload" --seed 1 --seconds 10 --trace 0
+  done
+}
+
 do_dse() {
   # Surrogate-guided DSE planner against exhaustive ground truth on the
-  # real §4.6 space: asserts the budget, Pareto-gap, stratum-error and
-  # byte-determinism gates internally, and writes
-  # results/BENCH_dse.json for perf_report to fold in.
-  stage "dse (planner vs exhaustive, quick space)"
-  mkdir -p results
-  SSIM_QUICK=1 cargo run --release -q -p ssim-bench --bin dse
+  # quick §4.6 space (budget, Pareto-gap, stratum-error and re-run
+  # determinism gates) and on the synthetic 20k-point space (budget and
+  # error-bar calibration). Release: the real-space sweep is minutes in
+  # a debug build.
+  stage "dse gates (planner vs exhaustive, quick space)"
+  cargo test --release -q -p ssim-bench --test dse_gates -- --ignored
 }
 
 # Shared body of the load stages: three fault-injecting backends, a
@@ -130,39 +118,28 @@ run_loadgen() (
   pids+=($!)
   for _ in $(seq 1 300); do [ -f "$tmp/gw.port" ] && break; sleep 0.1; done
   [ -f "$tmp/gw.port" ] || { echo "gateway never wrote its port file" >&2; exit 1; }
-  mkdir -p results
   target/release/loadgen "$(cat "$tmp/gw.port")"
 )
 
 do_load() {
   # The chaos/load gate: a gateway over backends that drop, delay and
   # reject must still lose or duplicate zero acknowledgements under
-  # 1k-connection open-loop load. Writes results/BENCH_load.json.
+  # 1k-connection open-loop load.
   do_build
   stage "loadgen (gateway over chaos backends, SSIM_QUICK)"
   SSIM_QUICK=1 run_loadgen
 }
 
 do_deep() {
-  # Deep bench tier — the full §4.6 design space across the
-  # threads={1,4,8,16} curve (parallel efficiency gated at threads=4 on
-  # hosts with >= 4 cores), the fleet's backends={1,3,8} scaling
-  # curve, the journal kill-and-resume chaos test, and the
-  # 10k-connection load story, folded into results/BENCH_parallel.json.
-  # Too heavy for the per-push gate: run manually or from the
-  # nightly/dispatch CI job.
+  # Deep tier — the journal kill-and-resume chaos test and the
+  # 10k-connection load story. Too heavy for the per-push gate: run
+  # manually or from the nightly/dispatch CI job.
   do_build
-  stage "scaling (deep: full grid, threads={1,4,8,16})"
-  mkdir -p results
-  SSIM_DEEP=1 cargo run --release -q -p ssim-bench --bin scaling
-  stage "fleet bench (deep: backends={1,3,8})"
-  SSIM_DEEP=1 SSIM_QUICK=1 cargo run --release -q -p ssim-serve -- fleet bench
   stage "journal chaos (SIGKILL mid-sweep, resume, byte-identical digest)"
-  target/release/ssim-serve journal-chaos
+  SSIM_TEST_TIMEOUT_MS="${SSIM_TEST_TIMEOUT_MS:-300000}" \
+    cargo test --release -q -p ssim-serve --test journal_chaos -- --ignored
   stage "loadgen (deep: 10k connections)"
   SSIM_DEEP=1 run_loadgen
-  stage "perf_report (fold deep curves)"
-  SSIM_QUICK=1 cargo run --release -q -p ssim-bench --bin perf_report
 }
 
 case "${1:-all}" in
@@ -170,8 +147,8 @@ case "${1:-all}" in
   clippy) do_clippy ;;
   build)  do_build ;;
   test)   do_test ;;
-  smoke)  do_smoke ;;
   asm)    do_asm ;;
+  bench)  do_bench ;;
   dse)    do_dse ;;
   load)   do_load ;;
   deep)   do_deep ;;
@@ -181,13 +158,13 @@ case "${1:-all}" in
     do_build
     do_test
     do_asm
-    do_smoke
+    do_bench
     do_dse
     do_load
     stage "all stages passed"
     ;;
   *)
-    echo "usage: ./ci.sh [fmt|clippy|build|test|smoke|asm|dse|load|deep|all]" >&2
+    echo "usage: ./ci.sh [fmt|clippy|build|test|asm|bench|dse|load|deep|all]" >&2
     exit 2
     ;;
 esac

@@ -1,8 +1,8 @@
 //! `loadgen`: an open-loop load generator for the serving stack.
 //!
 //! Drives thousands of concurrent connections against an `ssim-serve`
-//! gateway (or a single server) and records the latency distribution
-//! and an exact ack ledger into `results/BENCH_load.json`.
+//! gateway (or a single server) and prints the latency distribution
+//! and an exact ack ledger.
 //!
 //! Two design choices make the numbers honest:
 //!
@@ -440,21 +440,6 @@ fn main() {
          (wall {wall_s:.1}s)"
     );
 
-    let doc = format!(
-        "{{{}, \"quick\": {quick}, \"deep\": {deep}, \"connections\": {connected}, \
-         \"target_connections\": {conns}, \"target_rps\": {rps}, \"duration_s\": {secs}, \
-         \"sent\": {sent}, \"acked\": {acked}, \"rejected_backpressure\": {}, \
-         \"errors\": {}, \"duplicates\": {}, \"lost\": {lost}, \"broken_connections\": {broken}, \
-         \"achieved_rps\": {achieved_rps:.1}, \"p50_us\": {p50}, \"p90_us\": {p90}, \
-         \"p99_us\": {p99}, \"p999_us\": {p999}, \"max_us\": {max}}}\n",
-        ssim_bench::host_header_json(),
-        tally.rejected,
-        tally.errors,
-        tally.duplicates,
-    );
-    std::fs::create_dir_all("results").expect("create results/");
-    std::fs::write("results/BENCH_load.json", &doc).expect("write BENCH_load.json");
-    println!("wrote results/BENCH_load.json");
     ssim_bench::obs_finish("loadgen");
 
     // The gate: every connection opened, every request either answered

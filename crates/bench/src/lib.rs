@@ -18,19 +18,13 @@
 
 use ssim::prelude::*;
 use ssim::workloads::Workload;
+use std::sync::Arc;
 
-pub mod dsebench;
 pub mod profile_cache;
-pub mod simbench;
-pub mod synthbench;
-pub mod timing;
 
-pub use dsebench::{measure_dse, sec46_space, DseBench, SynthDse};
 pub use profile_cache::{cache_enabled, cache_stats, profile_cached, profile_cached_keyed};
-pub use simbench::{measure_sim_speed, SimSpeed};
 pub use ssim_obs as obs;
 pub use ssim_par::{available_parallelism, num_threads, par_map, par_map_with};
-pub use synthbench::{measure_synth_speed, SynthSpeed};
 
 static OBS_EDS_TIME: ssim_obs::TimerStat = ssim_obs::TimerStat::new("eds.time");
 
@@ -149,9 +143,9 @@ pub const DEFAULT_R: u64 = 15;
 /// with the paper's LSQ ≤ RUU constraint: 999 machine configurations
 /// in full mode, 296 in quick mode (widths pruned to {2, 8}).
 ///
-/// Shared by `sec46_design_space`, the `scaling` bin, and the DSE
-/// planner's real-space phase, so "the §4.6 sweep" means the same
-/// point set everywhere it is measured.
+/// Shared by `sec46_design_space`, the parallel-engine tests, and (as
+/// [`sec46_space`]) the DSE planner's real-space gates, so "the §4.6
+/// sweep" means the same point set everywhere it is measured.
 pub fn sec46_grid(quick: bool) -> Vec<MachineConfig> {
     let base = MachineConfig::baseline();
     let ruus: &[usize] = &[8, 16, 32, 48, 64, 96, 128];
@@ -181,6 +175,24 @@ pub fn sec46_grid(quick: bool) -> Vec<MachineConfig> {
     points
 }
 
+/// The §4.6 design space as a [`ssim_dse::Space`]: same axes and
+/// `lsq ≤ ruu` constraint as [`sec46_grid`], with a resource-weighted
+/// cost proxy as the Pareto x-axis.
+pub fn sec46_space(quick: bool) -> ssim_dse::Space {
+    use ssim_dse::Axis;
+    let widths: &[u64] = if quick { &[2, 8] } else { &[2, 4, 8] };
+    let axes = vec![
+        Axis::new("ruu", &[8, 16, 32, 48, 64, 96, 128]),
+        Axis::new("lsq", &[4, 8, 16, 24, 32, 48, 64]),
+        Axis::new("decode", widths),
+        Axis::new("issue", widths),
+        Axis::new("commit", widths),
+    ];
+    let constraint = Some(Arc::new(|c: &[u64]| c[1] <= c[0]) as ssim_dse::Constraint);
+    let cost = Arc::new(|c: &[u64]| (c[0] + 2 * c[1] + 12 * (c[2] + c[3] + c[4])) as f64);
+    ssim_dse::Space::new(axes, constraint, cost)
+}
+
 /// In-process cache of compiled samplers, keyed by
 /// `(profile content hash, r)`. Design-space sweeps simulate hundreds
 /// of machine configurations against one `(profile, r)` pair; the
@@ -193,7 +205,7 @@ pub fn sec46_grid(quick: bool) -> Vec<MachineConfig> {
 /// once (the old global `Mutex<HashMap>` let racing threads duplicate
 /// the lowering; `sampler_cache_builds` + the regression test in
 /// `tests/sampler_cache.rs` pin the fix).
-type SamplerCache = ssim_par::ShardedCache<(u64, u64), std::sync::Arc<CompiledSampler>>;
+type SamplerCache = ssim_par::ShardedCache<(u64, u64), Arc<CompiledSampler>>;
 static SAMPLER_CACHE: std::sync::OnceLock<SamplerCache> = std::sync::OnceLock::new();
 
 fn sampler_cache() -> &'static SamplerCache {
@@ -203,9 +215,9 @@ fn sampler_cache() -> &'static SamplerCache {
 /// Returns the compiled sampler for `(profile, r)`, lowering exactly
 /// once per distinct pair for the process lifetime — even when many
 /// threads miss the same pair simultaneously.
-pub fn sampler_cached(profile: &StatisticalProfile, r: u64) -> std::sync::Arc<CompiledSampler> {
+pub fn sampler_cached(profile: &StatisticalProfile, r: u64) -> Arc<CompiledSampler> {
     let key = (profile.content_hash(), r);
-    sampler_cache().get_or_build(key, || std::sync::Arc::new(profile.compile(r)))
+    sampler_cache().get_or_build(key, || Arc::new(profile.compile(r)))
 }
 
 /// How many sampler lowerings the in-process cache has performed — one
@@ -232,19 +244,6 @@ pub fn with_engine<T>(f: impl FnOnce(&mut SimEngine) -> T) -> T {
 pub fn ss(profile: &StatisticalProfile, machine: &MachineConfig, seed: u64) -> SimResult {
     let sampler = sampler_cached(profile, DEFAULT_R);
     with_engine(|e| e.simulate_fused(&sampler, seed, machine))
-}
-
-/// The host-parallelism header fields every `BENCH_*.json` carries, as
-/// a JSON fragment (no braces): the effective worker-pool size and the
-/// machine's available parallelism. Recording both keeps the perf
-/// trajectory comparable across runs — a speedup measured with
-/// `threads > available_parallelism` is oversubscription, not scaling.
-pub fn host_header_json() -> String {
-    format!(
-        "\"threads\": {}, \"available_parallelism\": {}",
-        num_threads(),
-        available_parallelism()
-    )
 }
 
 /// Formats a percentage.

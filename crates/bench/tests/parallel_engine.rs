@@ -47,6 +47,41 @@ fn sweep_results_identical_at_any_thread_count() {
     }
 }
 
+/// The §4.6 sweep shape on the production path: one lowering shared
+/// through `sampler_cached`, fused simulation on per-worker engines
+/// reused across points via `with_engine`. A reused engine must carry
+/// no state from one point, or one thread schedule, to the next.
+#[test]
+fn fused_sec46_sweep_identical_at_any_thread_count() {
+    let workload = ssim::workloads::by_name("gzip").expect("gzip exists");
+    let p = profile(
+        &workload.program(),
+        &ProfileConfig::new(&MachineConfig::baseline())
+            .skip(100_000)
+            .instructions(120_000),
+    );
+    let sampler = ssim_bench::sampler_cached(&p, 20);
+    let points: Vec<MachineConfig> = ssim_bench::sec46_grid(true)
+        .into_iter()
+        .step_by(8)
+        .collect();
+    let sweep = |threads: usize| {
+        par_map_with(threads, &points, |cfg| {
+            let r = ssim_bench::with_engine(|e| e.simulate_fused(&sampler, 1, cfg));
+            (r.cycles, r.instructions, r.ipc().to_bits())
+        })
+    };
+    let serial = sweep(1);
+    assert_eq!(serial.len(), 37);
+    for threads in [2, 4, 8] {
+        assert_eq!(
+            serial,
+            sweep(threads),
+            "thread count {threads} changed fused sweep results"
+        );
+    }
+}
+
 #[test]
 fn profile_cache_hit_is_byte_identical() {
     // A private cache root keeps this test independent of any real

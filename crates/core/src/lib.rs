@@ -73,6 +73,8 @@ pub use sfg::{
     BranchCtxStats, Context, ContextStats, ExportedNode, Gram, MissStats, Sfg, SlotStats,
     StatisticalProfile,
 };
+/// The metrics registry every stage records into (`SSIM_METRICS`).
+pub use ssim_obs as obs;
 pub use synth::{
     BranchFlags, DataFlags, SyntheticInstr, SyntheticOutcome, SyntheticTrace, WalkReport,
 };

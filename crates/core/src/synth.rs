@@ -279,10 +279,10 @@ impl FromIterator<SyntheticInstr> for SyntheticTrace {
 /// Produced by both [`StatisticalProfile::walk_reference`] (the
 /// interpreter) and [`CompiledSampler::walk`](crate::CompiledSampler::walk)
 /// (the compiled tables); for the same `(r, seed)` the two reports are
-/// equal field for field, which the equivalence tests and the
-/// `synth_speed` benchmark assert. `checksum` folds the live budget at
-/// every restart, so two walks that visit different node sequences
-/// cannot produce equal reports by accident.
+/// equal field for field, which the equivalence tests assert.
+/// `checksum` folds the live budget at every restart, so two walks that
+/// visit different node sequences cannot produce equal reports by
+/// accident.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalkReport {
     /// Edges traversed (node occurrences consumed by walking).
@@ -517,7 +517,7 @@ impl StatisticalProfile {
     /// [`StatisticalProfile::generate`], kept as the executable
     /// specification the compiled engine is tested against — the
     /// equivalence suite asserts instruction-for-instruction identical
-    /// traces — and as the baseline of the `synth_speed` microbenchmark.
+    /// traces.
     ///
     /// # Panics
     ///

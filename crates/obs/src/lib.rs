@@ -29,8 +29,9 @@
 //! * `SSIM_METRICS=json` — record, and write
 //!   `results/METRICS_<bin>.json` from [`finish`].
 //!
-//! [`force_enable`] turns recording on programmatically (used by
-//! `perf_report`, which always wants stage timings, and by tests).
+//! [`force_enable`] turns recording on programmatically (used by the
+//! server's metrics endpoint, by benchmarks that always want stage
+//! timings, and by tests).
 //!
 //! # Examples
 //!
@@ -106,8 +107,8 @@ pub fn enabled() -> bool {
 ///
 /// The export mode keeps whatever `SSIM_METRICS` asked for; if the
 /// variable asked for `Off`, [`finish`] still emits nothing, but
-/// in-process consumers (e.g. `perf_report` folding stage timings into
-/// its own JSON) see live values via [`snapshot`].
+/// in-process consumers (e.g. a benchmark folding stage timings into
+/// its own report) see live values via [`snapshot`].
 pub fn force_enable() {
     let _ = MODE.get_or_init(mode_from_env);
     STATE.store(STATE_ON, Relaxed);

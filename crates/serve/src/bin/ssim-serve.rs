@@ -1,36 +1,28 @@
-//! The `ssim-serve` binary: run the experiment service, talk to it, or
-//! benchmark it.
+//! The `ssim-serve` binary: run the experiment service or its gateway,
+//! or talk to either.
 //!
 //! ```text
 //! ssim-serve serve [--addr A] [--workers N] [--queue N] [--deadline-ms N]
-//!                  [--journal <path>] [--port-file <path>]
+//!                  [--result-cache N] [--journal <path>] [--port-file <path>]
 //! ssim-serve gateway [--addr A] [--port-file <path>] [--io-threads N]
 //!                    [--workers N] [--queue N] <backend>...
 //! ssim-serve client <addr> (<request-json> | metrics | shutdown)
 //! ssim-serve submit <addr> <file.asm> [--instructions N] [--skip N]
-//! ssim-serve bench          # writes results/BENCH_serve.json
-//! ssim-serve smoke          # loopback end-to-end check (run_all.sh gate)
 //! ssim-serve fleet sweep <sweep-json> <addr>...   # shard a sweep across backends
-//! ssim-serve fleet smoke    # 3 faulty loopback backends, bit-exact merge
-//! ssim-serve fleet bench    # writes results/BENCH_fleet.json
-//! ssim-serve journal-chaos  # SIGKILL mid-sweep, resume, digest must match
 //! ```
 //!
-//! `bench`, `smoke`, the `fleet` self-tests and `journal-chaos` start
-//! servers on ephemeral loopback ports, so none needs a running daemon
-//! or a fixed port. `--port-file` writes the resolved address (for
-//! `--addr host:0`) atomically once the server is listening — the
-//! hand-off `ci.sh load` and `journal-chaos` use to find their
-//! children.
+//! `--port-file` writes the resolved address (for `--addr host:0`)
+//! atomically once the server is listening — the hand-off `ci.sh load`
+//! and the journal chaos test use to find their children. The
+//! end-to-end checks of the service live in `crates/serve/tests`;
+//! performance is measured by `perfbench` (see `perfbench/README.md`).
 
-use ssim::prelude::*;
 use ssim_serve::json::Json;
-use ssim_serve::proto::{Envelope, ProfileParams};
+use ssim_serve::proto::Envelope;
 use ssim_serve::{
-    Client, FaultPlan, Fleet, FleetConfig, Gateway, GatewayConfig, MachineSpec, PointResult,
-    PointSource, Request, Server, ServerConfig, SweepSpec,
+    Client, Fleet, FleetConfig, Gateway, GatewayConfig, PointResult, Request, Server, ServerConfig,
+    SweepSpec,
 };
-use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,24 +31,16 @@ fn main() {
         Some("gateway") => cmd_gateway(&args[1..]),
         Some("client") => cmd_client(&args[1..]),
         Some("submit") => cmd_submit(&args[1..]),
-        Some("bench") => cmd_bench(),
-        Some("smoke") => cmd_smoke(),
         Some("fleet") => cmd_fleet(&args[1..]),
-        Some("journal-chaos") => cmd_journal_chaos(),
         _ => {
             eprintln!(
                 "usage: ssim-serve serve [--addr A] [--workers N] [--queue N] [--deadline-ms N] \
-                 [--journal P] [--port-file P]\n\
+                 [--result-cache N] [--journal P] [--port-file P]\n\
                  \x20      ssim-serve gateway [--addr A] [--port-file P] [--io-threads N] \
                  [--workers N] [--queue N] <backend>...\n\
                  \x20      ssim-serve client <addr> (<request-json> | metrics | shutdown)\n\
                  \x20      ssim-serve submit <addr> <file.asm> [--instructions N] [--skip N]\n\
-                 \x20      ssim-serve bench\n\
-                 \x20      ssim-serve smoke\n\
-                 \x20      ssim-serve fleet sweep <sweep-json> <addr>...\n\
-                 \x20      ssim-serve fleet smoke\n\
-                 \x20      ssim-serve fleet bench\n\
-                 \x20      ssim-serve journal-chaos"
+                 \x20      ssim-serve fleet sweep <sweep-json> <addr>..."
             );
             2
         }
@@ -72,6 +56,20 @@ fn write_port_file(path: &str, addr: &std::net::SocketAddr) -> std::io::Result<(
     let tmp = target.with_extension(format!("tmp.{}", std::process::id()));
     std::fs::write(&tmp, format!("{addr}\n"))?;
     std::fs::rename(&tmp, target)
+}
+
+/// Parses a request through the envelope grammar client-side, so typos
+/// fail with a local error instead of a round trip. The text is the
+/// envelope without its `id`; a throwaway one is added for validation.
+fn parse_request(text: &str) -> Result<Request, String> {
+    let body = Json::parse(text).map_err(|e| format!("request is not valid JSON: {e}"))?;
+    let mut pairs = vec![("id".to_string(), Json::Num(1.0))];
+    if let Json::Obj(p) = body {
+        pairs.extend(p.into_iter().filter(|(k, _)| k != "id"));
+    }
+    Envelope::parse(&Json::Obj(pairs).render())
+        .map(|env| env.req)
+        .map_err(|e| format!("bad request: {e}"))
 }
 
 // ---- serve ----------------------------------------------------------
@@ -225,27 +223,11 @@ fn cmd_client(args: &[String]) -> i32 {
         "shutdown" => "{\"kind\":\"shutdown\"}".to_string(),
         json => json.to_string(),
     };
-    // Parse through the envelope grammar client-side so typos fail
-    // with a local error instead of a round trip.
-    let body = match Json::parse(&line) {
-        Ok(v) => v,
+    let req = match parse_request(&line) {
+        Ok(req) => req,
         Err(e) => {
-            eprintln!("request is not valid JSON: {e}");
+            eprintln!("{e}");
             return 2;
-        }
-    };
-    let req = {
-        // Wrap with a throwaway id so Envelope::parse can validate.
-        let mut pairs = vec![("id".to_string(), Json::Num(1.0))];
-        if let Json::Obj(p) = body {
-            pairs.extend(p.into_iter().filter(|(k, _)| k != "id"));
-        }
-        match ssim_serve::proto::Envelope::parse(&Json::Obj(pairs).render()) {
-            Ok(env) => env.req,
-            Err(e) => {
-                eprintln!("bad request: {e}");
-                return 2;
-            }
         }
     };
     let mut client = match Client::connect(addr.as_str()) {
@@ -327,348 +309,15 @@ fn cmd_submit(args: &[String]) -> i32 {
     }
 }
 
-// ---- shared helpers -------------------------------------------------
-
-fn small_profile(instructions: u64) -> ProfileParams {
-    ProfileParams {
-        workload: "gzip".to_string(),
-        instructions,
-        skip: 0,
-    }
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-// ---- bench ----------------------------------------------------------
-
-fn cmd_bench() -> i32 {
-    // A private, scrubbed profile-cache dir makes the "cold" number a
-    // real cold start instead of depending on earlier run_all steps.
-    let cache_dir = std::path::Path::new("results").join(".serve-bench-cache");
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    std::env::set_var("SSIM_PROFILE_CACHE_DIR", &cache_dir);
-
-    let quick = ssim_bench::quick();
-    let profile = small_profile(if quick { 150_000 } else { 1_000_000 });
-    let r = ssim_bench::DEFAULT_R;
-    let machines: Vec<MachineSpec> = [2u64, 4, 8]
-        .iter()
-        .flat_map(|&w| {
-            [32u64, 128].iter().map(move |&win| MachineSpec {
-                width: Some(w),
-                window: Some(win),
-                ..MachineSpec::default()
-            })
-        })
-        .collect();
-    let seeds: Vec<u64> = (1..=4).collect();
-    let points = machines.len() * seeds.len();
-    let sweep = Request::Sweep {
-        profile: profile.clone(),
-        machines: machines.clone(),
-        r,
-        seeds: seeds.clone(),
-    };
-
-    let server = match Server::start(ServerConfig::default()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("failed to start server: {e}");
-            return 1;
-        }
-    };
-    let addr = server.addr();
-    println!("ssim-serve bench on {addr} ({points} points per sweep, quick={quick})");
-
-    let mut client = Client::connect(addr).expect("connect");
-
-    // Cold sweep: profile + lower + simulate every point.
-    let t = Instant::now();
-    let cold = client.call(&sweep, None).expect("cold sweep");
-    let cold_s = t.elapsed().as_secs_f64();
-    assert!(cold.ok, "cold sweep failed: {:?}", cold.error);
-
-    // Artifact-warm sweep: every point answered from the result cache.
-    let t = Instant::now();
-    let warm = client.call(&sweep, None).expect("warm sweep");
-    let warm_s = t.elapsed().as_secs_f64();
-    assert!(warm.ok, "warm sweep failed: {:?}", warm.error);
-    let warm_hits = warm
-        .body
-        .get("results")
-        .and_then(Json::as_arr)
-        .map(|rs| {
-            rs.iter()
-                .filter(|p| p.get("cached").and_then(Json::as_bool) == Some(true))
-                .count()
-        })
-        .unwrap_or(0);
-    println!("cold sweep {cold_s:.3}s, warm sweep {warm_s:.3}s ({warm_hits}/{points} cached)");
-
-    // Request throughput: concurrent clients firing single-point
-    // simulate requests (a mix of cached and novel seeds).
-    let n_clients = 4usize;
-    let per_client = if quick { 25usize } else { 100 };
-    let t = Instant::now();
-    let mut latencies: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_clients)
-            .map(|c| {
-                let profile = profile.clone();
-                let machines = &machines;
-                scope.spawn(move || {
-                    let mut lat = Vec::with_capacity(per_client);
-                    let mut cl = Client::connect(addr).expect("connect");
-                    for i in 0..per_client {
-                        let req = Request::Simulate {
-                            profile: profile.clone(),
-                            machine: machines[(c + i) % machines.len()].clone(),
-                            r,
-                            seed: 1 + ((c * per_client + i) % 8) as u64,
-                        };
-                        let t0 = Instant::now();
-                        let resp = cl.call_retry(&req, None, 50).expect("simulate");
-                        assert!(resp.ok, "simulate failed: {:?}", resp.error);
-                        lat.push(t0.elapsed().as_micros() as u64);
-                    }
-                    lat
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect()
-    });
-    let wall_s = t.elapsed().as_secs_f64();
-    latencies.sort_unstable();
-    let requests = latencies.len();
-    let rps = requests as f64 / wall_s;
-    let p50 = percentile(&latencies, 0.50);
-    let p99 = percentile(&latencies, 0.99);
-    println!(
-        "{requests} simulate requests in {wall_s:.3}s: {rps:.0} req/s, p50 {p50}us, p99 {p99}us"
-    );
-
-    let metrics = client.call(&Request::Metrics, None).expect("metrics");
-    assert!(metrics.ok);
-    let shut = client.call(&Request::Shutdown, None).expect("shutdown");
-    assert!(shut.ok, "shutdown failed: {:?}", shut.error);
-    server.join();
-
-    let doc = Json::obj(vec![
-        ("quick", Json::Bool(quick)),
-        ("threads", Json::Num(ssim_bench::num_threads() as f64)),
-        (
-            "available_parallelism",
-            Json::Num(ssim_bench::available_parallelism() as f64),
-        ),
-        ("workers", Json::Num(ssim_bench::num_threads() as f64)),
-        ("sweep_points", Json::Num(points as f64)),
-        ("cold_sweep_s", Json::Num(cold_s)),
-        ("warm_sweep_s", Json::Num(warm_s)),
-        (
-            "warm_speedup",
-            Json::Num(if warm_s > 0.0 { cold_s / warm_s } else { 0.0 }),
-        ),
-        ("warm_cached_points", Json::Num(warm_hits as f64)),
-        ("requests", Json::Num(requests as f64)),
-        ("wall_s", Json::Num(wall_s)),
-        ("rps", Json::Num(rps)),
-        ("p50_us", Json::Num(p50 as f64)),
-        ("p99_us", Json::Num(p99 as f64)),
-    ]);
-    let _ = std::fs::create_dir_all("results");
-    let path = "results/BENCH_serve.json";
-    if let Err(e) = std::fs::write(path, format!("{}\n", doc.render())) {
-        eprintln!("failed to write {path}: {e}");
-        return 1;
-    }
-    println!("wrote {path}");
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    ssim_bench::obs_finish("ssim-serve-bench");
-    0
-}
-
-// ---- smoke ----------------------------------------------------------
-
-/// End-to-end gate for `run_all.sh`: loopback server, concurrent
-/// clients, results checked bit-exactly against direct library calls,
-/// metrics endpoint, clean shutdown.
-fn cmd_smoke() -> i32 {
-    let profile = small_profile(60_000);
-    let r = 10u64;
-    let machines = vec![
-        MachineSpec {
-            width: Some(2),
-            ..MachineSpec::default()
-        },
-        MachineSpec {
-            width: Some(8),
-            window: Some(64),
-            ..MachineSpec::default()
-        },
-    ];
-    let seeds = vec![1u64, 2];
-
-    // Direct library expectation (same profile path the server uses).
-    let workload = ssim::workloads::by_name(&profile.workload).unwrap();
-    let direct_profile = ssim_bench::profile_cached(
-        workload,
-        &ProfileConfig::new(&MachineConfig::baseline())
-            .skip(profile.skip)
-            .instructions(profile.instructions),
-    );
-    let sampler = ssim_bench::sampler_cached(&direct_profile, r);
-    let mut expected = Vec::new();
-    for m in &machines {
-        let cfg = m.resolve();
-        for &seed in &seeds {
-            let sim = simulate_trace(&sampler.generate(seed), &cfg);
-            expected.push((sim.cycles, sim.instructions, sim.ipc()));
-        }
-    }
-
-    let server = Server::start(ServerConfig::default()).expect("start server");
-    let addr = server.addr();
-    println!("smoke: server on {addr}");
-
-    let sweep = Request::Sweep {
-        profile: profile.clone(),
-        machines: machines.clone(),
-        r,
-        seeds: seeds.clone(),
-    };
-    let n_clients = 4;
-    let failures: usize = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_clients)
-            .map(|_| {
-                let sweep = sweep.clone();
-                let expected = &expected;
-                scope.spawn(move || {
-                    let mut cl = Client::connect(addr).expect("connect");
-                    let resp = cl.call_retry(&sweep, None, 50).expect("sweep");
-                    if !resp.ok {
-                        eprintln!("smoke: sweep failed: {:?}", resp.error);
-                        return 1usize;
-                    }
-                    let results = resp.body.get("results").and_then(Json::as_arr).unwrap();
-                    let mut bad = 0;
-                    for (i, (point, exp)) in results.iter().zip(expected.iter()).enumerate() {
-                        let cycles = point.get("cycles").and_then(Json::as_u64).unwrap_or(0);
-                        let instrs = point
-                            .get("instructions")
-                            .and_then(Json::as_u64)
-                            .unwrap_or(0);
-                        let ipc = point.get("ipc").and_then(Json::as_f64).unwrap_or(f64::NAN);
-                        if cycles != exp.0 || instrs != exp.1 || ipc.to_bits() != exp.2.to_bits() {
-                            eprintln!("smoke: point {i} differs from direct library call");
-                            bad += 1;
-                        }
-                    }
-                    bad
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
-    });
-    if failures > 0 {
-        eprintln!("smoke: {failures} mismatching points");
-        return 1;
-    }
-    println!("smoke: {n_clients} concurrent sweeps bit-identical to direct calls");
-
-    let mut client = Client::connect(addr).expect("connect");
-    let metrics = client.call(&Request::Metrics, None).expect("metrics");
-    let sweeps_served = metrics
-        .body
-        .get("metrics")
-        .and_then(|m| m.get("counters"))
-        .and_then(|c| c.get("serve.req.sweep"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    if !metrics.ok || sweeps_served < n_clients as u64 {
-        eprintln!("smoke: metrics endpoint broken (sweeps_served = {sweeps_served})");
-        return 1;
-    }
-    println!("smoke: metrics endpoint reports {sweeps_served} sweeps");
-
-    let shut = client.call(&Request::Shutdown, None).expect("shutdown");
-    if !shut.ok || shut.body.get("drained").and_then(Json::as_bool) != Some(true) {
-        eprintln!("smoke: shutdown did not drain cleanly");
-        return 1;
-    }
-    server.join();
-    println!("smoke: clean shutdown OK");
-    0
-}
-
 // ---- fleet ----------------------------------------------------------
 
 fn cmd_fleet(args: &[String]) -> i32 {
     match args.first().map(String::as_str) {
         Some("sweep") => cmd_fleet_sweep(&args[1..]),
-        Some("smoke") => cmd_fleet_smoke(),
-        Some("bench") => cmd_fleet_bench(),
         _ => {
-            eprintln!(
-                "usage: ssim-serve fleet sweep <sweep-json> <addr>...\n\
-                 \x20      ssim-serve fleet smoke\n\
-                 \x20      ssim-serve fleet bench"
-            );
+            eprintln!("usage: ssim-serve fleet sweep <sweep-json> <addr>...");
             2
         }
-    }
-}
-
-/// Computes the direct-library expectation for a sweep (the same
-/// profile path the servers use, so the comparison is bit-exact).
-fn direct_expectation(spec: &SweepSpec) -> Vec<(u64, u64, f64)> {
-    let workload = ssim::workloads::by_name(&spec.profile.workload).unwrap();
-    let profile = ssim_bench::profile_cached(
-        workload,
-        &ProfileConfig::new(&MachineConfig::baseline())
-            .skip(spec.profile.skip)
-            .instructions(spec.profile.instructions),
-    );
-    let sampler = ssim_bench::sampler_cached(&profile, spec.r);
-    let mut expected = Vec::new();
-    for m in &spec.machines {
-        let cfg = m.resolve();
-        for &seed in &spec.seeds {
-            let sim = simulate_trace(&sampler.generate(seed), &cfg);
-            expected.push((sim.cycles, sim.instructions, sim.ipc()));
-        }
-    }
-    expected
-}
-
-/// Starts one loopback backend per fault plan (`None` = healthy).
-fn start_backends(plans: &[Option<&str>]) -> Vec<Server> {
-    plans
-        .iter()
-        .map(|plan| {
-            let cfg = ServerConfig {
-                fault: plan.map(|p| FaultPlan::parse(p).expect("fault plan")),
-                ..ServerConfig::default()
-            };
-            Server::start(cfg).expect("start backend")
-        })
-        .collect()
-}
-
-/// Asks every backend to shut down (drains accepted work) and joins it.
-fn stop_backends(servers: Vec<Server>) {
-    for server in servers {
-        let mut cl = Client::connect(server.addr()).expect("connect for shutdown");
-        let shut = cl.call(&Request::Shutdown, None).expect("shutdown");
-        assert!(shut.ok, "shutdown failed: {:?}", shut.error);
-        server.join();
     }
 }
 
@@ -696,26 +345,11 @@ fn cmd_fleet_sweep(args: &[String]) -> i32 {
         eprintln!("fleet sweep needs at least one backend address");
         return 2;
     }
-    // Route the text through the envelope grammar (as `client` does) so
-    // typos fail locally.
-    let body = match Json::parse(spec_json) {
-        Ok(v) => v,
+    let req = match parse_request(spec_json) {
+        Ok(req) => req,
         Err(e) => {
-            eprintln!("sweep request is not valid JSON: {e}");
+            eprintln!("{e}");
             return 2;
-        }
-    };
-    let req = {
-        let mut pairs = vec![("id".to_string(), Json::Num(1.0))];
-        if let Json::Obj(p) = body {
-            pairs.extend(p.into_iter().filter(|(k, _)| k != "id"));
-        }
-        match ssim_serve::proto::Envelope::parse(&Json::Obj(pairs).render()) {
-            Ok(env) => env.req,
-            Err(e) => {
-                eprintln!("bad request: {e}");
-                return 2;
-            }
         }
     };
     let Request::Sweep {
@@ -762,525 +396,4 @@ fn cmd_fleet_sweep(args: &[String]) -> i32 {
             1
         }
     }
-}
-
-/// End-to-end fleet gate: three loopback backends, two of them faulty
-/// with plans whose seeded decision streams *start* with a fault (seed
-/// 7 opens with a drop under `drop:0.4` and with a reject under
-/// `reject:0.4`), so the run always exercises at least one retry and
-/// one work-stealing reassignment — then the merged output must still
-/// be bit-identical to direct library calls.
-fn cmd_fleet_smoke() -> i32 {
-    let spec = SweepSpec {
-        profile: small_profile(60_000),
-        machines: vec![
-            MachineSpec {
-                width: Some(2),
-                ..MachineSpec::default()
-            },
-            MachineSpec {
-                width: Some(4),
-                window: Some(64),
-                ..MachineSpec::default()
-            },
-            MachineSpec {
-                width: Some(8),
-                ..MachineSpec::default()
-            },
-        ],
-        r: 10,
-        seeds: vec![1, 2],
-    };
-    let expected = direct_expectation(&spec);
-
-    let servers = start_backends(&[
-        Some("drop:0.4,delay:3ms@7"),
-        Some("reject:0.4,delay:2ms@7"),
-        None,
-    ]);
-    let backends: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
-    println!("fleet smoke: 3 backends on {backends:?} (two with fault plans)");
-
-    let fleet = Fleet::new(FleetConfig {
-        backends,
-        max_attempts: 32,
-        backoff_base_ms: 2,
-        backoff_cap_ms: 50,
-        probe_interval_ms: 50,
-        request_deadline_ms: 10_000,
-        sweep_timeout_ms: 120_000,
-        seed: 1,
-        ..FleetConfig::default()
-    })
-    .expect("fleet");
-    let outcome = match fleet.sweep(&spec) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("fleet smoke: sweep failed: {e}");
-            return 1;
-        }
-    };
-
-    let mut bad = 0;
-    for (i, (point, exp)) in outcome.points.iter().zip(expected.iter()).enumerate() {
-        if point.cycles != exp.0
-            || point.instructions != exp.1
-            || point.ipc.to_bits() != exp.2.to_bits()
-            || point.cached
-        {
-            eprintln!("fleet smoke: point {i} differs from direct library call");
-            bad += 1;
-        }
-    }
-    if bad > 0 {
-        eprintln!("fleet smoke: {bad} mismatching points");
-        return 1;
-    }
-    let stats = &outcome.stats;
-    println!(
-        "fleet smoke: {} points bit-identical under faults \
-         ({} retries, {} steals, {} transitions, served {:?})",
-        stats.points, stats.retries, stats.steals, stats.transitions, stats.served
-    );
-    if stats.retries == 0 || stats.steals == 0 {
-        eprintln!("fleet smoke: expected the seeded fault plans to force >=1 retry and >=1 steal");
-        return 1;
-    }
-    stop_backends(servers);
-    println!("fleet smoke: clean shutdown OK");
-    0
-}
-
-fn cmd_fleet_bench() -> i32 {
-    // Same scrubbed-cache discipline as `bench`: the profile is built
-    // once (phase 1 warm-up) and the phases then compare pure
-    // simulation throughput, not cache luck from earlier run_all steps.
-    let cache_dir = std::path::Path::new("results").join(".fleet-bench-cache");
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    std::env::set_var("SSIM_PROFILE_CACHE_DIR", &cache_dir);
-
-    let quick = ssim_bench::quick();
-    // Deep tier (`./ci.sh deep`): extend the backend-scaling curve to 8
-    // backends so BENCH_fleet.json records a real multi-backend curve,
-    // not just the 1-vs-3 pair.
-    let deep = std::env::var("SSIM_DEEP").is_ok_and(|v| v != "0");
-    let backend_counts: &[usize] = if deep { &[1, 3, 8] } else { &[1, 3] };
-    let spec = SweepSpec {
-        profile: small_profile(if quick { 150_000 } else { 1_000_000 }),
-        machines: [2u64, 4, 8]
-            .iter()
-            .flat_map(|&w| {
-                [32u64, 128].iter().map(move |&win| MachineSpec {
-                    width: Some(w),
-                    window: Some(win),
-                    ..MachineSpec::default()
-                })
-            })
-            .collect(),
-        r: ssim_bench::DEFAULT_R,
-        seeds: (1..=4).collect(),
-    };
-    let points = spec.points();
-    println!("fleet bench: {points} points per sweep, quick={quick}");
-
-    let fleet_cfg = |backends: Vec<String>| FleetConfig {
-        backends,
-        backoff_base_ms: 2,
-        backoff_cap_ms: 100,
-        probe_interval_ms: 20,
-        request_deadline_ms: 60_000,
-        sweep_timeout_ms: 600_000,
-        seed: 1,
-        ..FleetConfig::default()
-    };
-    let run_phase = |label: &str, plans: &[Option<&str>]| {
-        let servers = start_backends(plans);
-        let backends: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
-        let fleet = Fleet::new(fleet_cfg(backends)).expect("fleet");
-        fleet.warm(&spec.profile);
-        let t = Instant::now();
-        let outcome = fleet.sweep(&spec).expect("sweep");
-        let secs = t.elapsed().as_secs_f64();
-        stop_backends(servers);
-        println!(
-            "{label}: {secs:.3}s ({} retries, {} steals, {} hedges)",
-            outcome.stats.retries, outcome.stats.steals, outcome.stats.hedges
-        );
-        (outcome, secs)
-    };
-
-    // Backend-scaling curve: healthy fleets of increasing size. Every
-    // count must merge bit-identically — the fleet's core guarantee.
-    let avail = ssim_bench::available_parallelism();
-    let mut phases: Vec<(usize, ssim_serve::fleet::SweepOutcome, f64)> = Vec::new();
-    for &n in backend_counts {
-        let plans = vec![None; n];
-        let (outcome, secs) = run_phase(
-            &format!("{n} backend{}", if n == 1 { "" } else { "s" }),
-            &plans,
-        );
-        phases.push((n, outcome, secs));
-    }
-    let (single, single_s) = (&phases[0].1, phases[0].2);
-    let fleet3_idx = phases
-        .iter()
-        .position(|&(n, _, _)| n == 3)
-        .expect("3-backend phase");
-    let fleet3_s = phases[fleet3_idx].2;
-    let (chaos, chaos_s) = run_phase(
-        "3 backends + chaos",
-        &[
-            Some("drop:0.15,delay:3ms@7"),
-            Some("reject:0.2,delay:2ms@7"),
-            Some("drop:0.05,reject:0.05@13"),
-        ],
-    );
-
-    // The whole point of the fleet: placement must not show in results.
-    let mut checks: Vec<(String, &ssim_serve::fleet::SweepOutcome)> = phases[1..]
-        .iter()
-        .map(|(n, o, _)| (format!("{n}-backend"), o))
-        .collect();
-    checks.push(("chaos".to_string(), &chaos));
-    for (label, other) in &checks {
-        for (i, (a, b)) in single.points.iter().zip(other.points.iter()).enumerate() {
-            assert!(
-                a.cycles == b.cycles
-                    && a.instructions == b.instructions
-                    && a.ipc.to_bits() == b.ipc.to_bits(),
-                "{label} sweep: point {i} differs from the single-backend run"
-            );
-        }
-    }
-    println!(
-        "merged results identical across {:?}-backend and chaos runs",
-        backend_counts
-    );
-
-    // Scaling curve entries: speedup vs the 1-backend run, efficiency
-    // relative to the backend count. Backends here share one host, so
-    // the curve is honest only up to available_parallelism — which is
-    // exactly why it is recorded in the header.
-    let scaling: Vec<Json> = phases
-        .iter()
-        .map(|&(n, _, secs)| {
-            let speedup = single_s / secs.max(1e-12);
-            Json::obj(vec![
-                ("backends", Json::Num(n as f64)),
-                ("wall_s", Json::Num(secs)),
-                ("speedup", Json::Num(speedup)),
-                ("efficiency", Json::Num(speedup / n as f64)),
-            ])
-        })
-        .collect();
-
-    let doc = Json::obj(vec![
-        ("quick", Json::Bool(quick)),
-        ("deep", Json::Bool(deep)),
-        ("threads", Json::Num(ssim_bench::num_threads() as f64)),
-        ("available_parallelism", Json::Num(avail as f64)),
-        (
-            "backends",
-            Json::Arr(
-                backend_counts
-                    .iter()
-                    .map(|&n| Json::Num(n as f64))
-                    .collect(),
-            ),
-        ),
-        ("sweep_points", Json::Num(points as f64)),
-        ("single_backend_s", Json::Num(single_s)),
-        ("fleet3_s", Json::Num(fleet3_s)),
-        (
-            "fleet_speedup",
-            Json::Num(if fleet3_s > 0.0 {
-                single_s / fleet3_s
-            } else {
-                0.0
-            }),
-        ),
-        ("chaos_s", Json::Num(chaos_s)),
-        (
-            "chaos_overhead",
-            Json::Num(if fleet3_s > 0.0 {
-                chaos_s / fleet3_s
-            } else {
-                0.0
-            }),
-        ),
-        ("chaos_stats", stats_json(&chaos.stats)),
-        ("scaling", Json::Arr(scaling)),
-        ("identical", Json::Bool(true)),
-    ]);
-    let _ = std::fs::create_dir_all("results");
-    let path = "results/BENCH_fleet.json";
-    if let Err(e) = std::fs::write(path, format!("{}\n", doc.render())) {
-        eprintln!("failed to write {path}: {e}");
-        return 1;
-    }
-    println!("wrote {path}");
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    ssim_bench::obs_finish("ssim-fleet-bench");
-    0
-}
-
-// ---- journal chaos --------------------------------------------------
-
-/// Kill-and-resume gate for the job journal (nightly `ci.sh deep`):
-///
-/// 1. spawn a child server with `--journal`, submit a journaled
-///    `sweep-stream` job and wait for streaming frames to prove the
-///    sweep is mid-flight;
-/// 2. SIGKILL the child (no drain, no cleanup — `Child::kill` is
-///    `SIGKILL` on Unix);
-/// 3. restart on the same journal, poll `job-result` until the resumed
-///    job completes;
-/// 4. the resumed digest must be byte-identical to an uninterrupted
-///    blocking sweep of the same spec, and re-submitting the key must
-///    re-ack instantly from the journal.
-fn cmd_journal_chaos() -> i32 {
-    use std::io::{BufRead, BufReader, Write};
-
-    let dir = std::env::temp_dir().join(format!("ssim-journal-chaos-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create chaos dir");
-    let journal = dir.join("journal.ndjson");
-    let port_file = dir.join("serve.port");
-    let cache_dir = dir.join("profile-cache");
-    let exe = std::env::current_exe().expect("current exe");
-
-    let spawn_server = || {
-        // A private profile cache and no inherited fault plan: the test
-        // measures journal recovery, not cache luck or injected chaos.
-        std::process::Command::new(&exe)
-            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
-            .arg("--journal")
-            .arg(&journal)
-            .arg("--port-file")
-            .arg(&port_file)
-            .env("SSIM_PROFILE_CACHE_DIR", &cache_dir)
-            .env_remove("SSIM_FAULT_PLAN")
-            .stdout(std::process::Stdio::null())
-            .spawn()
-            .expect("spawn child server")
-    };
-    let wait_port = || -> String {
-        let deadline = Instant::now() + std::time::Duration::from_secs(60);
-        loop {
-            if let Ok(s) = std::fs::read_to_string(&port_file) {
-                let s = s.trim();
-                if !s.is_empty() {
-                    return s.to_string();
-                }
-            }
-            assert!(
-                Instant::now() < deadline,
-                "child server never published its port"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-    };
-
-    // Enough points that the SIGKILL lands mid-sweep: frames arrive per
-    // fan-out chunk, so two frames in means most chunks are still
-    // pending on the 2-worker child.
-    let spec = SweepSpec {
-        profile: small_profile(150_000),
-        machines: [2u64, 4, 8]
-            .iter()
-            .flat_map(|&w| {
-                [16u64, 32, 64, 128].iter().map(move |&win| MachineSpec {
-                    width: Some(w),
-                    window: Some(win),
-                    ..MachineSpec::default()
-                })
-            })
-            .collect(),
-        r: 12,
-        seeds: (1..=8).collect(),
-    };
-    let req = Request::SweepStream {
-        profile: spec.profile.clone(),
-        machines: spec.machines.clone(),
-        r: spec.r,
-        seeds: spec.seeds.clone(),
-    };
-    let key = "chaos-1";
-
-    let mut child = spawn_server();
-    let addr = wait_port();
-    println!(
-        "journal-chaos: child on {addr}, journal at {}",
-        journal.display()
-    );
-
-    // Submit the journaled job raw (the blocking client API hides
-    // frames behind a full merge; here two frames are the kill signal).
-    let stream = std::net::TcpStream::connect(&addr).expect("connect");
-    let mut writer = stream.try_clone().expect("clone stream");
-    let env = Envelope {
-        id: 1,
-        deadline_ms: None,
-        job: Some(key.to_string()),
-        req: req.clone(),
-    };
-    writer
-        .write_all(format!("{}\n", env.render()).as_bytes())
-        .expect("submit job");
-    let mut reader = BufReader::new(stream);
-    let mut frames = 0usize;
-    while frames < 2 {
-        let mut line = String::new();
-        assert!(
-            reader.read_line(&mut line).expect("read frame") > 0,
-            "server closed the stream before two frames"
-        );
-        let v = Json::parse(line.trim()).expect("frame json");
-        if v.get("frame").and_then(Json::as_str) == Some("point") {
-            frames += 1;
-        } else {
-            assert!(
-                v.get("ok").and_then(Json::as_bool) == Some(true),
-                "job rejected before streaming: {line}"
-            );
-            // The whole sweep finished before we could kill — rare on
-            // any real box, but then resume degenerates to re-ack,
-            // which the tail of this test still verifies.
-            break;
-        }
-    }
-    println!("journal-chaos: {frames} frames seen, sending SIGKILL");
-    child.kill().expect("kill child");
-    let _ = child.wait();
-    drop(reader);
-
-    // Restart on the same journal; the accepted-but-incomplete job must
-    // resume without any client re-submitting it.
-    let _ = std::fs::remove_file(&port_file);
-    let mut child = spawn_server();
-    let addr = wait_port();
-    println!("journal-chaos: restarted on {addr}");
-    let mut cl = Client::connect(addr.as_str()).expect("connect restarted");
-    let poll = Request::JobResult {
-        job: key.to_string(),
-    };
-    let deadline = Instant::now() + std::time::Duration::from_secs(300);
-    let resumed = loop {
-        let resp = cl.call(&poll, None).expect("poll job-result");
-        if resp.ok {
-            break resp;
-        }
-        let msg = resp.error.clone().unwrap_or_default();
-        assert!(
-            msg.contains("pending"),
-            "job neither pending nor done after restart: {msg}"
-        );
-        assert!(Instant::now() < deadline, "resumed job never completed");
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    };
-    let resumed_digest = resumed
-        .body
-        .get("digest")
-        .and_then(Json::as_hex_u64)
-        .expect("resumed digest");
-    let resumed_points: Vec<PointResult> = resumed
-        .body
-        .get("results")
-        .and_then(Json::as_arr)
-        .expect("resumed results")
-        .iter()
-        .map(|p| PointResult::from_json(p).expect("point"))
-        .collect();
-    println!(
-        "journal-chaos: resumed job completed, {} points, digest {resumed_digest:016x}",
-        resumed_points.len()
-    );
-
-    // Reference: an uninterrupted blocking sweep of the same spec on
-    // the restarted server. `cached` flags differ (the resumed run
-    // repopulated the result cache), so the comparison is the digest
-    // plus the digest-covered fields per point.
-    let reference = cl
-        .call(
-            &Request::Sweep {
-                profile: spec.profile.clone(),
-                machines: spec.machines.clone(),
-                r: spec.r,
-                seeds: spec.seeds.clone(),
-            },
-            None,
-        )
-        .expect("reference sweep");
-    assert!(
-        reference.ok,
-        "reference sweep failed: {:?}",
-        reference.error
-    );
-    let reference_digest = reference
-        .body
-        .get("digest")
-        .and_then(Json::as_hex_u64)
-        .expect("reference digest");
-    assert_eq!(
-        resumed_digest, reference_digest,
-        "resumed sweep digest differs from the uninterrupted run"
-    );
-    let reference_points: Vec<PointResult> = reference
-        .body
-        .get("results")
-        .and_then(Json::as_arr)
-        .expect("reference results")
-        .iter()
-        .map(|p| PointResult::from_json(p).expect("point"))
-        .collect();
-    assert_eq!(resumed_points.len(), reference_points.len());
-    for (i, (a, b)) in resumed_points
-        .iter()
-        .zip(reference_points.iter())
-        .enumerate()
-    {
-        assert!(
-            a.cycles == b.cycles
-                && a.instructions == b.instructions
-                && a.ipc.to_bits() == b.ipc.to_bits(),
-            "point {i} differs between resumed and uninterrupted runs"
-        );
-    }
-    println!(
-        "journal-chaos: digest and all {} points byte-identical",
-        reference_points.len()
-    );
-
-    // Idempotent re-ack: the same key replays the journaled response
-    // instantly (no frames, no recomputation).
-    let reack = cl
-        .submit_job(&req, None, Some(key))
-        .and_then(|_| cl.recv())
-        .expect("re-ack");
-    assert!(reack.ok, "re-ack failed: {:?}", reack.error);
-    assert_eq!(
-        reack.body.get("digest").and_then(Json::as_hex_u64),
-        Some(resumed_digest),
-        "re-ack digest differs"
-    );
-    let metrics = cl.call(&Request::Metrics, None).expect("metrics");
-    let reacked = metrics
-        .body
-        .get("metrics")
-        .and_then(|m| m.get("counters"))
-        .and_then(|c| c.get("serve.journal.reacked"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    assert!(
-        reacked >= 1,
-        "serve.journal.reacked = {reacked}, expected >= 1"
-    );
-    println!("journal-chaos: re-ack replayed from journal ({reacked} re-acks)");
-
-    let shut = cl.call(&Request::Shutdown, None).expect("shutdown");
-    assert!(shut.ok, "shutdown failed: {:?}", shut.error);
-    let _ = child.wait();
-    let _ = std::fs::remove_dir_all(&dir);
-    println!("journal-chaos: OK");
-    0
 }

@@ -165,7 +165,7 @@ impl MachineSpec {
                     .ok_or_else(|| format!("\"{key}\" must be a bool")),
             }
         };
-        Ok(MachineSpec {
+        let spec = MachineSpec {
             width: opt_u64("width")?,
             window: opt_u64("window")?,
             ifq: opt_u64("ifq")?,
@@ -177,7 +177,13 @@ impl MachineSpec {
             in_order: flag("in_order")?,
             perfect_caches: flag("perfect_caches")?,
             perfect_bpred: flag("perfect_bpred")?,
-        })
+        };
+        // Range-check at parse time: a machine the simulator cannot
+        // build is refused as a bad request before any job allocates it.
+        spec.resolve()
+            .check()
+            .map_err(|e| format!("machine: {e}"))?;
+        Ok(spec)
     }
 
     /// Renders the override object.
@@ -740,6 +746,18 @@ mod tests {
             .with_ifq(8);
         assert_eq!(spec.resolve(), direct);
         assert_eq!(MachineSpec::default().resolve(), MachineConfig::baseline());
+    }
+
+    #[test]
+    fn out_of_range_machines_are_refused_at_parse_time() {
+        let parse = |text: &str| MachineSpec::from_json(&Json::parse(text).unwrap());
+        let err = parse(r#"{"ruu":4000000000}"#).unwrap_err();
+        assert!(err.contains("RUU size 4000000000 is outside"), "{err}");
+        let err = parse(r#"{"ruu":16,"lsq":32}"#).unwrap_err();
+        assert!(err.contains("may not exceed the RUU"), "{err}");
+        let err = parse(r#"{"window":64,"width":1000}"#).unwrap_err();
+        assert!(err.contains("decode width 1000"), "{err}");
+        assert!(parse(r#"{"window":256,"ifq":128}"#).is_ok());
     }
 
     #[test]

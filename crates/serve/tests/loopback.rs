@@ -149,9 +149,20 @@ fn concurrent_sweeps_match_direct_library_calls() {
         }
     });
 
+    // Every sweep was counted by the metrics endpoint.
     let mut cl = Client::connect(addr).unwrap();
+    let metrics = cl.call(&Request::Metrics, None).unwrap();
+    let sweeps = metrics
+        .body
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("serve.req.sweep"))
+        .and_then(Json::as_u64)
+        .unwrap_or(0);
+    assert!(sweeps >= 8, "metrics report {sweeps} sweeps, expected >= 8");
     let shut = cl.call(&Request::Shutdown, None).unwrap();
     assert!(shut.ok);
+    assert_eq!(shut.body.get("drained").and_then(Json::as_bool), Some(true));
     server.join();
 }
 
@@ -446,6 +457,56 @@ fn metrics_endpoint_exposes_registry() {
             .is_some(),
         "latency histogram missing from registry"
     );
+    let shut = cl.call(&Request::Shutdown, None).unwrap();
+    assert!(shut.ok);
+    server.join();
+}
+
+/// A query of death is a well-formed request whose machine the
+/// simulator cannot build: a 4-billion-entry RUU used to abort the
+/// process on a 32 GiB allocation, and `lsq > ruu` panicked a worker.
+/// Both must come back as ordinary errors, and the server must keep
+/// serving afterwards.
+#[test]
+fn out_of_range_machines_get_an_error_and_the_server_survives() {
+    setup_env();
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut cl = Client::connect(server.addr()).unwrap();
+    let simulate = |machine: MachineSpec| Request::Simulate {
+        profile: small_profile(40_000),
+        machine,
+        r: 10,
+        seed: 1,
+    };
+    for (machine, want) in [
+        (
+            MachineSpec {
+                ruu: Some(4_000_000_000),
+                ..MachineSpec::default()
+            },
+            "RUU size 4000000000 is outside",
+        ),
+        (
+            MachineSpec {
+                ruu: Some(16),
+                lsq: Some(32),
+                ..MachineSpec::default()
+            },
+            "may not exceed the RUU",
+        ),
+    ] {
+        let resp = cl.call(&simulate(machine), None).unwrap();
+        assert!(!resp.ok, "out-of-range machine was accepted");
+        assert!(!resp.is_backpressure());
+        let err = resp.error.unwrap_or_default();
+        assert!(err.contains(want), "unexpected error: {err}");
+    }
+    let resp = cl
+        .call_retry(&simulate(MachineSpec::default()), None, 50)
+        .unwrap();
+    assert!(resp.ok, "simulate after the bad requests: {:?}", resp.error);
+    assert!(resp.body.get("cycles").and_then(Json::as_u64).unwrap_or(0) > 0);
+
     let shut = cl.call(&Request::Shutdown, None).unwrap();
     assert!(shut.ok);
     server.join();

@@ -42,6 +42,7 @@ pub use ssim_baselines as baselines;
 pub use ssim_bpred as bpred;
 pub use ssim_cache as cache;
 pub use ssim_core as core;
+pub use ssim_core::obs;
 pub use ssim_func as func;
 pub use ssim_isa as isa;
 pub use ssim_power as power;

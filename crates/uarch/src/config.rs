@@ -190,21 +190,47 @@ impl MachineConfig {
         self
     }
 
+    /// Checks every structure size and width against its admissible
+    /// range, and the paper's §4.6 constraint that the LSQ may not
+    /// exceed the RUU.
+    ///
+    /// The ranges are one table, wide enough for every machine the
+    /// experiments build (the largest window is 256) and small enough
+    /// that the simulator's per-structure allocations stay bounded. A
+    /// machine that comes from outside the process — a served request,
+    /// a command-line flag — is checked here before anything is
+    /// simulated, so an oversized structure is an error, not an abort.
+    pub fn check(&self) -> Result<(), String> {
+        let ranges: [(&str, usize, usize); 7] = [
+            ("decode width", self.decode_width, 64),
+            ("issue width", self.issue_width, 64),
+            ("commit width", self.commit_width, 64),
+            ("fetch speed", self.fetch_speed, 16),
+            ("IFQ size", self.ifq_size, 1024),
+            ("RUU size", self.ruu_size, 1024),
+            ("LSQ size", self.lsq_size, 1024),
+        ];
+        for (name, value, max) in ranges {
+            if !(1..=max).contains(&value) {
+                return Err(format!("{name} {value} is outside 1..={max}"));
+            }
+        }
+        if self.lsq_size > self.ruu_size {
+            return Err(format!(
+                "LSQ size {} may not exceed the RUU size {}",
+                self.lsq_size, self.ruu_size
+            ));
+        }
+        Ok(())
+    }
+
     /// Validates internal consistency.
     ///
     /// # Panics
     ///
-    /// Panics if any width or structure size is zero, or if the LSQ is
-    /// larger than the RUU (the paper's §4.6 constraint).
+    /// Panics if [`MachineConfig::check`] fails.
     pub fn validate(&self) {
-        assert!(self.decode_width > 0, "decode width must be positive");
-        assert!(self.issue_width > 0, "issue width must be positive");
-        assert!(self.commit_width > 0, "commit width must be positive");
-        assert!(self.fetch_speed > 0, "fetch speed must be positive");
-        assert!(self.ifq_size > 0, "IFQ must be positive");
-        assert!(self.ruu_size > 0, "RUU must be positive");
-        assert!(self.lsq_size > 0, "LSQ must be positive");
-        assert!(self.lsq_size <= self.ruu_size, "LSQ may not exceed the RUU");
+        self.check().expect("invalid machine configuration");
     }
 }
 
@@ -246,10 +272,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "LSQ may not exceed")]
+    #[should_panic(expected = "may not exceed the RUU")]
     fn oversized_lsq_rejected() {
         let mut c = MachineConfig::baseline();
         c.lsq_size = 256;
         c.validate();
+    }
+
+    #[test]
+    fn check_bounds_every_structure() {
+        assert_eq!(MachineConfig::baseline().check(), Ok(()));
+        assert!(MachineConfig::baseline().with_window(256).check().is_ok());
+        let huge = MachineConfig::baseline().with_window(4_000_000_000);
+        assert_eq!(
+            huge.check(),
+            Err("RUU size 4000000000 is outside 1..=1024".to_string())
+        );
+        let mut zero = MachineConfig::baseline();
+        zero.issue_width = 0;
+        assert!(zero.check().unwrap_err().starts_with("issue width 0"));
     }
 }

@@ -4,12 +4,12 @@
 # fast smoke pass; budgets tuned for a single-core box.
 #
 #   ./run_all.sh         # the full artifact set
-#   ./run_all.sh --deep  # additionally runs the deep bench tier
-#                        # (./ci.sh deep): full-grid thread-scaling
-#                        # curve with efficiency gates, 8-backend
-#                        # fleet scaling, journal kill-and-resume
-#                        # chaos, and the 10k-connection load story,
-#                        # folded into BENCH_parallel.json
+#   ./run_all.sh --deep  # additionally runs the deep tier
+#                        # (./ci.sh deep): journal kill-and-resume
+#                        # chaos and the 10k-connection load story
+#
+# Performance is measured by the repository benchmark, not here: see
+# perfbench/README.md (./ci.sh bench runs it).
 set -u -o pipefail
 DEEP=0
 if [ "${1:-}" = "--deep" ]; then DEEP=1; shift; fi
@@ -48,42 +48,14 @@ run ablation_fifo_size        SSIM_QUICK=1 SSIM_PROFILE_INSTR=1500000 SSIM_EDS_I
 run ablation_dep_cap          SSIM_QUICK=1 SSIM_PROFILE_INSTR=1500000 SSIM_EDS_INSTR=1000000
 run ablation_reduction_factor SSIM_QUICK=1 SSIM_PROFILE_INSTR=1500000 SSIM_EDS_INSTR=1000000
 run ext_inorder               SSIM_QUICK=1 SSIM_PROFILE_INSTR=1500000 SSIM_EDS_INSTR=1000000
-run synth_speed               SSIM_QUICK=1
-run sim_speed                 SSIM_QUICK=1
-# Experiment service: end-to-end smoke (loopback ephemeral port, small
-# sweep checked bit-exact against direct library calls, metrics
-# endpoint, clean drain-on-shutdown), its benchmark, then the fleet
-# coordinator's smoke (3 backends under seeded fault injection) and
-# benchmark. The benches write results/BENCH_serve.json and
-# results/BENCH_fleet.json for perf_report to fold in.
-serve() {
-  b="ssim-serve-${*// /-}"
-  echo "[$(date +%H:%M:%S)] running $b"
-  env SSIM_METRICS="$SSIM_METRICS" SSIM_QUICK=1 \
-    cargo run --release -q -p ssim-serve --bin ssim-serve -- "$@" > "results/$b.txt" 2>&1 \
-    || { echo "serve $* FAILED (see results/$b.txt)"; exit 1; }
-}
-serve smoke
-serve bench
-serve fleet smoke
-serve fleet bench
 # Gateway + load story: open-loop loadgen through a gateway over
-# fault-injecting backends with the zero-lost/zero-duplicated ack gate;
-# writes results/BENCH_load.json for perf_report's "load" section.
+# fault-injecting backends with the zero-lost/zero-duplicated ack gate.
 ./ci.sh load || exit 1
 # Surrogate-guided design-space planner vs exhaustive truth on the
-# quick §4.6 space; writes results/BENCH_dse.json for perf_report.
-run dse                       SSIM_QUICK=1
-# Thread-scaling curve over the quick §4.6 grid (byte-identity across
-# thread counts asserted; speedup gate enforced on multi-core hosts);
-# writes results/BENCH_scaling.json for perf_report's "scaling" section.
-run scaling                   SSIM_QUICK=1 SSIM_THREADS=2
-run perf_report               SSIM_QUICK=1
-# Deep tier (--deep): rerun scaling on the full grid with the
-# efficiency-gated thread curve, extend the fleet to 8 backends, and
-# refold — overwrites the quick curves in BENCH_parallel.json.
+# quick §4.6 space, gates asserted.
+./ci.sh dse || exit 1
 if [ "$DEEP" = 1 ]; then
-  echo "[$(date +%H:%M:%S)] running deep bench tier (./ci.sh deep)"
+  echo "[$(date +%H:%M:%S)] running deep tier (./ci.sh deep)"
   ./ci.sh deep || exit 1
 fi
 echo "[$(date +%H:%M:%S)] all experiments complete"

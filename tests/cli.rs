@@ -82,3 +82,38 @@ fn missing_arguments_are_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown workload"));
 }
+
+#[test]
+fn metrics_report_on_exit() {
+    let prf = std::env::temp_dir().join(format!("ssim-cli-metrics-{}.prf", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_ssim"))
+        .args(["profile", "gzip", "-o", prf.to_str().unwrap()])
+        .args(["--instr", "50000", "--skip", "0"])
+        .env("SSIM_METRICS", "1")
+        .output()
+        .expect("ssim binary runs");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.contains("---- metrics [ssim] ----"), "{text}");
+    assert!(text.contains("profiler.instructions"), "{text}");
+    std::fs::remove_file(&prf).ok();
+}
+
+#[test]
+fn oversized_machine_flags_are_an_error() {
+    let prf = std::env::temp_dir().join(format!("ssim-cli-bounds-{}.prf", std::process::id()));
+    let prf_s = prf.to_str().unwrap();
+    let out = ssim(&[
+        "profile", "gzip", "-o", prf_s, "--instr", "20000", "--skip", "0",
+    ]);
+    assert!(out.status.success());
+    let out = ssim(&["simulate", prf_s, "--ruu", "4000000000"]);
+    assert!(!out.status.success());
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.contains("RUU size 4000000000 is outside"), "{text}");
+    let out = ssim(&["explore", prf_s, "--ruu", "16,4096"]);
+    assert!(!out.status.success());
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.contains("RUU size 4096 is outside"), "{text}");
+    std::fs::remove_file(&prf).ok();
+}
